@@ -120,39 +120,6 @@ func TestBusyWireNewClientOldDepot(t *testing.T) {
 	}
 }
 
-// TestDeadlineTokenEnforced: with propagation on, a request arriving
-// with an exhausted deadline budget is shed with BUSY even when
-// admission control is disabled, and a generous budget passes the
-// argument-count checks untouched.
-func TestDeadlineTokenEnforced(t *testing.T) {
-	addr, _, _ := startDepotServer(t, 1<<20)
-
-	send := func(line string) []string {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Write([]byte(line)); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := bufio.NewReader(conn).ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Fields(resp)
-	}
-
-	if f := send("STATUS deadline=0\n"); len(f) < 2 || f[0] != "ERR" || f[1] != "BUSY" {
-		t.Fatalf("zero-budget request = %v, want ERR BUSY", f)
-	}
-	if f := send("STATUS deadline=5000\n"); len(f) != 4 || f[0] != "OK" {
-		t.Fatalf("generous-budget request = %v, want OK capacity used allocs", f)
-	}
-}
-
 // TestDeadlinePropagatedEndToEnd: a client ctx deadline crosses the wire
 // when propagation is on, visible as depot-side enforcement: an expired
 // budget never reaches the depot verb handler.

@@ -397,46 +397,3 @@ func TestPipePoolSerialFallback(t *testing.T) {
 		t.Fatalf("serial ops = %d, want 3", got)
 	}
 }
-
-// TestPipelinedShedKeepsConnection proves a pipelined BUSY shed answers
-// the one tagged request and leaves the connection (and the other
-// in-flight work) intact — the serial loop must hang up instead.
-func TestPipelinedShedKeepsConnection(t *testing.T) {
-	d, err := NewDepot(DepotConfig{Capacity: 1 << 20, MaxLease: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(d)
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl := &Client{Addr: addr}
-	caps, data := allocStore(t, cl, 4096)
-
-	p, err := DialPipe(context.Background(), addr, nil, 4, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	// An exhausted propagated deadline sheds server-side even with no
-	// admission gate configured.
-	obs.SetPropagation(true)
-	defer obs.SetPropagation(false)
-	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	err = p.Load(expired, caps.Read, 0, make([]byte, 4096))
-	if err == nil {
-		t.Fatal("expired-budget load succeeded, want BUSY shed")
-	}
-	// The caller may observe its own ctx error or the server's BUSY;
-	// either way the pipe must survive for the next request.
-	dst := make([]byte, 4096)
-	if err := p.Load(context.Background(), caps.Read, 0, dst); err != nil {
-		t.Fatalf("load after shed: %v", err)
-	}
-	if !bytes.Equal(dst, data) {
-		t.Fatal("payload mismatch after shed")
-	}
-}

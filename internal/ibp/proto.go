@@ -83,7 +83,7 @@ const tagPrefix = "tag="
 const responseTagPrefix = "T"
 
 // StripTagToken removes a trailing tag=<n> token from parsed request
-// fields. Pipelined server loops call it after StripTraceToken and
+// fields. The transport calls it after StripTraceToken and
 // StripDeadlineToken; ok is false when the last field is not a
 // well-formed tag, which on a pipelined connection is a protocol error.
 func StripTagToken(fields []string) ([]string, uint64, bool) {

@@ -173,26 +173,6 @@ func TestWireOverShapedLink(t *testing.T) {
 	}
 }
 
-func TestServerRejectsGarbage(t *testing.T) {
-	addr, _, _ := startDepotServer(t, 1024)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Write([]byte("FROBNICATE all the things\n"))
-	buf := make([]byte, 256)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := string(buf[:n])
-	if !strings.HasPrefix(resp, "ERR PROTO") {
-		t.Errorf("response to garbage = %q", resp)
-	}
-}
-
 func TestServerKeepsConnectionAcrossRequests(t *testing.T) {
 	addr, _, _ := startDepotServer(t, 1<<20)
 	conn, err := net.Dial("tcp", addr)

@@ -21,6 +21,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -51,14 +52,14 @@ func DeadlineToken(ctx context.Context) string {
 }
 
 // ParseDeadlineToken parses one request-line field. ok is true only for a
-// well-formed "deadline=<ms>" token with a non-negative integer budget;
-// any other field returns false.
+// well-formed "deadline=<ms>" token with a non-negative integer budget
+// that fits a time.Duration; any other field returns false.
 func ParseDeadlineToken(field string) (time.Duration, bool) {
 	if !strings.HasPrefix(field, deadlinePrefix) {
 		return 0, false
 	}
 	ms, err := strconv.ParseInt(field[len(deadlinePrefix):], 10, 64)
-	if err != nil || ms < 0 {
+	if err != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0, false
 	}
 	return time.Duration(ms) * time.Millisecond, true

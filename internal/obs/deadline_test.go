@@ -51,7 +51,10 @@ func TestDeadlineTokenNoDeadline(t *testing.T) {
 }
 
 func TestParseDeadlineTokenRejectsMalformed(t *testing.T) {
-	for _, f := range []string{"", "deadline=", "deadline=-5", "deadline=abc", "deadline=1.5", "trace=1/2", "1500"} {
+	for _, f := range []string{"", "deadline=", "deadline=-5", "deadline=abc", "deadline=1.5", "trace=1/2", "1500",
+		// Budgets past the largest Duration would overflow to a negative
+		// (or tiny) deadline and shed instead of being rejected.
+		"deadline=9223372036855", "deadline=18446744073709"} {
 		if _, ok := ParseDeadlineToken(f); ok {
 			t.Errorf("ParseDeadlineToken(%q) accepted", f)
 		}

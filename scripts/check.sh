@@ -37,10 +37,16 @@ echo "== pipelined data plane race smoke"
 # concurrency-heavy tests under the race detector explicitly (and
 # -count=1, so they rerun even when the cached ./... results are fresh).
 go test -race -count=1 \
-	-run 'TestPipelined|TestPipeWindowBackpressure|TestPipeMidstreamDrop|TestPipePoolSerialFallback' \
+	-run 'TestPipelined|TestPipeWindowBackpressure|TestPipeMidstreamDrop|TestPipePoolSerialFallback|TestServeConformance' \
 	./internal/ibp
 go test -race -count=1 -run 'TestDownloadPipelinedPool|TestStreamBuffer' ./internal/lors
 go test -race -count=1 -run 'TestGetViewSetStream|TestViewerUsesStreamingPath' ./internal/agent
+
+echo "== fuzz the IBP transport (10s per target)"
+# go test ./... above only replays the committed seed corpora under
+# internal/ibp/testdata/fuzz; this explores past them.
+go test -run '^$' -fuzz '^FuzzLineTokens$' -fuzztime 10s ./internal/ibp
+go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s ./internal/ibp
 
 echo "== lfbench -quick + benchdiff vs newest committed baseline (warn-only except LAN fps)"
 baseline=$(ls BENCH_[0-9]*.json 2>/dev/null | sort -V | tail -1)

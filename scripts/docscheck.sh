@@ -7,10 +7,11 @@
 #     internal/obs/names.go must appear in docs/OBSERVABILITY.md.
 #  3. Every HTTP endpoint the obs mux serves (including the SLO stack's
 #     extra handlers) must appear in docs/OBSERVABILITY.md.
-#  4. Every wire verb a server dispatches, every IBP error code, and the
-#     optional request-line tokens must appear in docs/PROTOCOL.md — it
-#     claims to be the authoritative protocol reference, so it must not
-#     drift from the dispatch code.
+#  4. Every wire verb a server dispatches (for IBP: every verb handler
+#     registered on the shared transport, all nine of them), every IBP
+#     error code, and the optional request-line tokens must appear in
+#     docs/PROTOCOL.md — it claims to be the authoritative protocol
+#     reference, so it must not drift from the dispatch code.
 #  5. Every /debug/* endpoint registered anywhere under internal/obs
 #     (including the flight recorder's /debug/capture routes) and every
 #     runtime.* family in names.go must appear in docs/OBSERVABILITY.md.
@@ -58,14 +59,26 @@ for e in $endpoints; do
 done
 
 echo "== wire verbs, error codes, and tokens vs docs/PROTOCOL.md"
-# Verbs are collected from the server dispatch code itself (case "VERB"
-# switches, f[0] == "VERB" matches, and the PIPELINE mode-switch check),
-# so adding a verb without documenting it fails here.
-verbs=$(grep -hoE '(case |== )"[A-Z]+"' \
-	internal/ibp/server.go internal/ibp/server_pipe.go \
-	internal/edge/server.go internal/edge/server_pipe.go \
-	internal/dvs/dvs.go internal/agent/remote.go internal/agent/serveragent.go \
+# Verbs are collected from the server dispatch code itself, so adding a
+# verb without documenting it fails here. IBP verbs (depot and edge) are
+# the `"VERB": {...}` handler registrations each server passes to
+# ibp.NewTransport, plus the transport's own PIPELINE mode switch; the
+# DVS and agent servers still dispatch with case "VERB" / == "VERB".
+ibpverbs=$(grep -rhoE --include='*.go' --exclude='*_test.go' \
+	'^[[:space:]]*"[A-Z]+": +\{|== "PIPELINE"' internal/ibp internal/edge \
 	| grep -oE '"[A-Z]+"' | tr -d '"' | sort -u)
+# A moved or renamed registration must not silently drop verbs from the
+# audit: all nine IBP verbs have to be found.
+for v in ALLOCATE STORE LOAD PROBE EXTEND FREE COPY STATUS PIPELINE; do
+	if ! printf '%s\n' "$ibpverbs" | grep -qx "$v"; then
+		echo "docscheck: IBP verb $v not found in the transport handler registrations" >&2
+		exit 1
+	fi
+done
+otherverbs=$(grep -hoE '(case |== )"[A-Z]+"' \
+	internal/dvs/dvs.go internal/agent/remote.go internal/agent/serveragent.go \
+	| grep -oE '"[A-Z]+"' | tr -d '"')
+verbs=$(printf '%s\n%s\n' "$ibpverbs" "$otherverbs" | sort -u)
 for v in $verbs; do
 	if ! grep -qE "(^|[\`| ])$v(\`| |\$)" docs/PROTOCOL.md; then
 		echo "MISSING: wire verb $v not documented in docs/PROTOCOL.md" >&2
