@@ -98,8 +98,12 @@ type Server struct {
 	exnodes map[Key][][]byte  // exNode table: replicas' XML documents
 	agents  map[string]string // server agent table: dataset -> agent addr
 	lis     net.Listener
+	conns   map[net.Conn]struct{}
 	closed  bool
+	stop    context.CancelFunc // cancels in-flight requests on Close
+	parent  *Client            // upstream level, built on first forward
 
+	serving     sync.WaitGroup // accept loop and connection handlers
 	metricsOnce sync.Once
 }
 
@@ -109,6 +113,7 @@ func NewServer(parent string) *Server {
 		Parent:  parent,
 		exnodes: make(map[Key][][]byte),
 		agents:  make(map[string]string),
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
@@ -183,8 +188,7 @@ func (s *Server) Resolve(ctx context.Context, key Key) ([][]byte, error) {
 		return reps, nil
 	}
 	if s.Parent != "" {
-		cl := &Client{Addr: s.Parent, Dialer: s.Dialer, Timeout: s.Timeout}
-		reps, err := cl.Get(ctx, key)
+		reps, err := s.parentClient().Get(ctx, key)
 		if err == nil && len(reps) > 0 {
 			// Cache on the way down, DNS style.
 			s.mu.Lock()
@@ -221,37 +225,87 @@ func (s *Server) Resolve(ctx context.Context, key Key) ([][]byte, error) {
 //	REGAGENT <dataset> <addr>          -> OK
 //	AGENT <dataset>                    -> OK <addr> | MISS
 
+// parentClient returns the one client this level forwards misses
+// through, so its connections to the parent are reused across queries.
+func (s *Server) parentClient() *Client {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.parent == nil {
+		s.parent = &Client{Addr: s.Parent, Dialer: s.Dialer, Timeout: s.Timeout}
+	}
+	return s.parent
+}
+
 // ListenAndServe starts the DVS on addr and returns the bound address.
 func (s *Server) ListenAndServe(addr string) (string, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
+	ctx, stop := context.WithCancel(context.Background())
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		stop()
+		l.Close()
+		return "", errors.New("dvs: server closed")
+	}
 	s.lis = l
+	s.stop = stop
+	s.serving.Add(1)
 	s.mu.Unlock()
 	s.initMetrics()
 	go func() {
+		defer s.serving.Done()
 		for {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
-			go s.handle(c)
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				c.Close()
+				return
+			}
+			s.conns[c] = struct{}{}
+			s.serving.Add(1)
+			s.mu.Unlock()
+			go func() {
+				defer s.serving.Done()
+				s.handle(ctx, c)
+				s.mu.Lock()
+				delete(s.conns, c)
+				s.mu.Unlock()
+			}()
 		}
 	}()
 	return l.Addr().String(), nil
 }
 
-// Close stops the listener.
+// Close stops the listener, closes every accepted connection, cancels
+// the requests still executing and waits for their handlers to return.
+// It then releases the idle connections to the parent level.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
+	var err error
 	if s.lis != nil {
-		return s.lis.Close()
+		err = s.lis.Close()
 	}
-	return nil
+	for c := range s.conns {
+		c.Close()
+	}
+	stop, parent := s.stop, s.parent
+	s.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+	s.serving.Wait()
+	if parent != nil {
+		parent.CloseIdle()
+	}
+	return err
 }
 
 func (s *Server) tracer() *obs.Tracer {
@@ -314,11 +368,15 @@ func (s *Server) shed(bw *bufio.Writer, verb, reason string) {
 	fmt.Fprintf(bw, "ERR BUSY %s\n", reason)
 }
 
-func (s *Server) handle(c net.Conn) {
+// handle serves one connection, one request at a time, until the client
+// hangs up or a request is malformed or shed; Close ends it by closing
+// the connection. Requests run under base, which Close cancels, so a
+// lookup still resolving upstream or generating stops with it.
+func (s *Server) handle(base context.Context, c net.Conn) {
 	defer c.Close()
 	s.initMetrics()
-	br := bufio.NewReaderSize(c, 64*1024)
-	bw := bufio.NewWriterSize(c, 64*1024)
+	br := bufio.NewReader(c)
+	bw := bufio.NewWriter(c)
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil || len(line) > maxLine {
@@ -335,7 +393,7 @@ func (s *Server) handle(c net.Conn) {
 		if len(f) > 0 {
 			verb = f[0]
 		}
-		ctx := context.Background()
+		ctx := base
 		var span *obs.Span
 		if traced {
 			ctx, span = s.tracer().StartSpan(obs.ContextWithRemote(ctx, tc), obs.SpanDVSServe)
@@ -435,7 +493,15 @@ func (s *Server) dispatch(ctx context.Context, br *bufio.Reader, bw *bufio.Write
 
 func oneLine(s string) string { return strings.ReplaceAll(s, "\n", " ") }
 
-// Client queries a DVS server.
+// maxIdle caps the idle connections a Client keeps for reuse. A client
+// agent resolves one view set at a time plus a few prefetches, so a
+// handful covers its steady state; a connection released into a full
+// pool is closed instead.
+const maxIdle = 4
+
+// Client queries a DVS server over a small pool of persistent
+// connections, so a lookup pays one round trip instead of a dial plus a
+// round trip. It is safe for concurrent use; CloseIdle releases the pool.
 type Client struct {
 	Addr    string
 	Dialer  Dialer
@@ -443,6 +509,16 @@ type Client struct {
 	// Obs receives per-operation latency histograms and error counters
 	// (dvs.op.*); nil records into obs.Default().
 	Obs *obs.Registry
+
+	mu   sync.Mutex
+	idle []*clientConn // most recently used last
+}
+
+// clientConn is one connection to the server with the reader that owns
+// its inbound bytes for the connection's whole life.
+type clientConn struct {
+	net.Conn
+	br *bufio.Reader
 }
 
 // lineSuffix returns the optional trailing request-line tokens
@@ -476,75 +552,200 @@ func (c *Client) observeOp(op string, start time.Time, err error) {
 	}
 }
 
-func (c *Client) dial() (net.Conn, error) {
+// take returns an idle connection (reused = true) or, when the pool is
+// empty or fresh is set, a newly dialed one.
+func (c *Client) take(fresh bool) (cn *clientConn, reused bool, err error) {
+	if !fresh {
+		c.mu.Lock()
+		if n := len(c.idle); n > 0 {
+			cn = c.idle[n-1]
+			c.idle = c.idle[:n-1]
+		}
+		c.mu.Unlock()
+		if cn != nil {
+			return cn, true, nil
+		}
+	}
 	d := c.Dialer
 	if d == nil {
 		d = netDialer{}
 	}
-	conn, err := d.Dial(c.Addr)
+	nc, err := d.Dial(c.Addr)
+	if err != nil {
+		return nil, false, err
+	}
+	return &clientConn{Conn: nc, br: bufio.NewReader(nc)}, false, nil
+}
+
+// release returns cn to the pool, or closes it when the pool is full.
+func (c *Client) release(cn *clientConn) {
+	c.mu.Lock()
+	if len(c.idle) < maxIdle {
+		c.idle = append(c.idle, cn)
+		cn = nil
+	}
+	c.mu.Unlock()
+	if cn != nil {
+		cn.Close()
+	}
+}
+
+// CloseIdle closes the connections the client keeps for reuse. The
+// client stays usable: the next request dials a new connection.
+func (c *Client) CloseIdle() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, cn := range idle {
+		cn.Close()
+	}
+}
+
+// exchange runs one request — verb, args, the propagation tokens and an
+// optional body — and parses the reply with read. Its deadline is ctx's,
+// else Timeout (default 30s) from now.
+//
+// The connection goes back to the pool only after a fully parsed OK or
+// MISS reply (read returned nil or ErrMiss) with no byte left unread; an
+// ERR reply, a parse error or an I/O error closes it. A request that
+// fails on a reused connection before any reply byte arrives found a
+// connection the server had dropped while it sat idle: the rest of the
+// pool is likely stale too, so it is released, and the request is
+// retried once on a fresh dial. PUT is never retried, because it appends
+// a replica and the server may have recorded it before failing; nor is
+// a timeout, which says the server is slow rather than gone.
+// Cancelling ctx ends the exchange at once; the error is then ctx's.
+func (c *Client) exchange(ctx context.Context, verb, args string, body []byte, read func(*bufio.Reader) error) (err error) {
+	defer func(start time.Time) { c.observeOp(verb, start, err) }(time.Now())
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		timeout := c.Timeout
+		if timeout == 0 {
+			timeout = 30 * time.Second
+		}
+		deadline = time.Now().Add(timeout)
+	}
+	line := []byte(verb + " " + args + lineSuffix(ctx) + "\n")
+	for fresh := false; ; fresh = true {
+		cn, reused, err := c.take(fresh)
+		if err != nil {
+			return err
+		}
+		_ = cn.SetDeadline(deadline)
+		// Cancelling ctx interrupts the exchange by pulling the deadline
+		// in; a connection so cut is never pooled.
+		interrupt := context.AfterFunc(ctx, func() { _ = cn.SetDeadline(time.Now()) })
+		bufs := net.Buffers{line}
+		if len(body) > 0 {
+			bufs = append(bufs, body)
+		}
+		if _, err = bufs.WriteTo(cn); err == nil {
+			_, err = cn.br.Peek(1)
+		}
+		if err != nil {
+			interrupt()
+			cn.Close()
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			var ne net.Error
+			stale := reused && !(errors.As(err, &ne) && ne.Timeout())
+			if stale {
+				c.CloseIdle()
+			}
+			if stale && verb != "PUT" {
+				continue
+			}
+			return fmt.Errorf("%w: %w", ErrProto, err)
+		}
+		err = read(cn.br)
+		if interrupt() && (err == nil || errors.Is(err, ErrMiss)) && cn.br.Buffered() == 0 {
+			c.release(cn)
+		} else {
+			cn.Close()
+		}
+		if err != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return err
+	}
+}
+
+// readStatus reads one reply line and returns the fields after "OK".
+// MISS becomes ErrMiss, ERR the remote error, anything else ErrProto.
+func readStatus(br *bufio.Reader) ([]string, error) {
+	line, err := br.ReadString('\n')
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrProto, err)
+	}
+	f := strings.Fields(line)
+	switch {
+	case len(f) >= 1 && f[0] == "OK":
+		return f[1:], nil
+	case len(f) >= 1 && f[0] == "MISS":
+		return nil, ErrMiss
+	case len(f) >= 1 && f[0] == "ERR":
+		return nil, remoteErr(f)
+	}
+	return nil, fmt.Errorf("%w: response %q", ErrProto, line)
+}
+
+// readReplicas parses a GET reply: OK <n> then n x (<len>\n<xml>).
+func readReplicas(br *bufio.Reader) ([][]byte, error) {
+	f, err := readStatus(br)
 	if err != nil {
 		return nil, err
 	}
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
+	n := -1
+	if len(f) == 1 {
+		n, err = strconv.Atoi(f[0])
 	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	return conn, nil
+	if err != nil || n < 0 || n > 1024 {
+		return nil, fmt.Errorf("%w: bad replica count", ErrProto)
+	}
+	out := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		szLine, err := br.ReadString('\n')
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrProto, err)
+		}
+		sz, err := strconv.Atoi(strings.TrimSpace(szLine))
+		if err != nil || sz <= 0 || sz > maxEntry {
+			return nil, fmt.Errorf("%w: bad entry size", ErrProto)
+		}
+		body := make([]byte, sz)
+		if _, err := io.ReadFull(br, body); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrProto, err)
+		}
+		out = append(out, body)
+	}
+	return out, nil
+}
+
+// expectOK parses a reply that carries nothing but its status.
+func expectOK(br *bufio.Reader) error {
+	_, err := readStatus(br)
+	if errors.Is(err, ErrMiss) {
+		return fmt.Errorf("%w: unexpected MISS", ErrProto)
+	}
+	return err
 }
 
 // Get fetches all known exNode replicas for key. A pure miss returns
 // ErrMiss.
 func (c *Client) Get(ctx context.Context, key Key) (reps [][]byte, err error) {
-	defer func(start time.Time) { c.observeOp("GET", start, err) }(time.Now())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	conn, err := c.dial()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	fmt.Fprintf(conn, "GET %s %s%s\n", key.Dataset, key.ViewSet, lineSuffix(ctx))
-	br := bufio.NewReaderSize(conn, 64*1024)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProto, err)
-	}
-	f := strings.Fields(strings.TrimSpace(line))
-	switch {
-	case len(f) >= 1 && f[0] == "MISS":
+	err = c.exchange(ctx, "GET", key.Dataset+" "+key.ViewSet, nil, func(br *bufio.Reader) (err error) {
+		reps, err = readReplicas(br)
+		return err
+	})
+	if errors.Is(err, ErrMiss) {
 		return nil, fmt.Errorf("%w: %s", ErrMiss, key)
-	case len(f) >= 1 && f[0] == "ERR":
-		return nil, remoteErr(f)
-	case len(f) == 2 && f[0] == "OK":
-		n, err := strconv.Atoi(f[1])
-		if err != nil || n < 0 || n > 1024 {
-			return nil, fmt.Errorf("%w: bad replica count", ErrProto)
-		}
-		out := make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			szLine, err := br.ReadString('\n')
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrProto, err)
-			}
-			sz, err := strconv.Atoi(strings.TrimSpace(szLine))
-			if err != nil || sz <= 0 || sz > maxEntry {
-				return nil, fmt.Errorf("%w: bad entry size", ErrProto)
-			}
-			body := make([]byte, sz)
-			if _, err := io.ReadFull(br, body); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrProto, err)
-			}
-			out = append(out, body)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: response %q", ErrProto, line)
 	}
+	return reps, err
 }
 
 // Put registers an exNode replica for key.
@@ -558,72 +759,27 @@ func (c *Client) Replace(ctx context.Context, key Key, exnodeXML []byte) error {
 	return c.record(ctx, "REPLACE", key, exnodeXML)
 }
 
-func (c *Client) record(ctx context.Context, verb string, key Key, exnodeXML []byte) (err error) {
-	defer func(start time.Time) { c.observeOp(verb, start, err) }(time.Now())
-	conn, err := c.dial()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	fmt.Fprintf(conn, "%s %s %s %d%s\n", verb, key.Dataset, key.ViewSet, len(exnodeXML), lineSuffix(ctx))
-	if _, err := conn.Write(exnodeXML); err != nil {
-		return err
-	}
-	return expectOK(conn)
+func (c *Client) record(ctx context.Context, verb string, key Key, exnodeXML []byte) error {
+	args := fmt.Sprintf("%s %s %d", key.Dataset, key.ViewSet, len(exnodeXML))
+	return c.exchange(ctx, verb, args, exnodeXML, expectOK)
 }
 
 // RegisterAgent records the server agent for a dataset.
-func (c *Client) RegisterAgent(ctx context.Context, dataset, agentAddr string) (err error) {
-	defer func(start time.Time) { c.observeOp("REGAGENT", start, err) }(time.Now())
-	conn, err := c.dial()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "REGAGENT %s %s%s\n", dataset, agentAddr, lineSuffix(ctx))
-	return expectOK(conn)
+func (c *Client) RegisterAgent(ctx context.Context, dataset, agentAddr string) error {
+	return c.exchange(ctx, "REGAGENT", dataset+" "+agentAddr, nil, expectOK)
 }
 
 // AgentFor queries the server-agent table.
 func (c *Client) AgentFor(ctx context.Context, dataset string) (addr string, err error) {
-	defer func(start time.Time) { c.observeOp("AGENT", start, err) }(time.Now())
-	conn, err := c.dial()
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "AGENT %s%s\n", dataset, lineSuffix(ctx))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrProto, err)
-	}
-	f := strings.Fields(strings.TrimSpace(line))
-	if len(f) == 2 && f[0] == "OK" {
-		return f[1], nil
-	}
-	if len(f) >= 1 && f[0] == "MISS" {
-		return "", ErrMiss
-	}
-	if len(f) >= 1 && f[0] == "ERR" {
-		return "", remoteErr(f)
-	}
-	return "", fmt.Errorf("%w: response %q", ErrProto, line)
-}
-
-func expectOK(conn net.Conn) error {
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrProto, err)
-	}
-	line = strings.TrimSpace(line)
-	if line != "OK" && !strings.HasPrefix(line, "OK ") {
-		if f := strings.Fields(line); len(f) >= 1 && f[0] == "ERR" {
-			return remoteErr(f)
+	err = c.exchange(ctx, "AGENT", dataset, nil, func(br *bufio.Reader) error {
+		f, err := readStatus(br)
+		if err == nil && len(f) != 1 {
+			err = fmt.Errorf("%w: bad AGENT reply", ErrProto)
 		}
-		return fmt.Errorf("dvs: remote: %s", line)
-	}
-	return nil
+		if err == nil {
+			addr = f[0]
+		}
+		return err
+	})
+	return addr, err
 }

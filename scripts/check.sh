@@ -41,12 +41,20 @@ go test -race -count=1 \
 	./internal/ibp
 go test -race -count=1 -run 'TestDownloadPipelinedPool|TestStreamBuffer' ./internal/lors
 go test -race -count=1 -run 'TestGetViewSetStream|TestViewerUsesStreamingPath' ./internal/agent
+# The DVS client shares a pool of persistent connections between
+# concurrent lookups.
+go test -race -count=1 -run 'TestPool|TestServerClose|TestGetCancelInterruptsExchange|TestHierarchyReusesParentConnections' ./internal/dvs
 
 echo "== fuzz the IBP transport (10s per target)"
 # go test ./... above only replays the committed seed corpora under
 # internal/ibp/testdata/fuzz; this explores past them.
 go test -run '^$' -fuzz '^FuzzLineTokens$' -fuzztime 10s ./internal/ibp
 go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s ./internal/ibp
+
+echo "== fuzz the DVS wire protocol (10s per target)"
+# Seed corpora under internal/dvs/testdata/fuzz, replayed by go test ./...
+go test -run '^$' -fuzz '^FuzzDVSRequest$' -fuzztime 10s ./internal/dvs
+go test -run '^$' -fuzz '^FuzzDVSResponse$' -fuzztime 10s ./internal/dvs
 
 echo "== lfbench -quick + benchdiff vs newest committed baseline (warn-only except LAN fps)"
 baseline=$(ls BENCH_[0-9]*.json 2>/dev/null | sort -V | tail -1)
