@@ -195,21 +195,38 @@ func (c *Cache) Load(ctx context.Context, cp Cap, off, length int64) (data []byt
 	}
 	c.misses.Add(1)
 	reg.Counter(obs.MEdgeMisses).Inc()
+	data, err = c.loadMiss(ctx, cp, off, length)
+	if err != nil {
+		return nil, false, err
+	}
+	c.bytesServed.Add(int64(len(data)))
+	reg.Counter(obs.MEdgeBytesServed).Add(int64(len(data)))
+	return data, false, nil
+}
+
+// loadMiss serves a read that missed the cache: it joins the extent's
+// in-flight fill or starts one. A flight that landed between the miss
+// and this call has already cached the extent, so a new flight looks in
+// the cache again before it goes to the origin; without that second
+// look the extent would cross the WAN twice.
+func (c *Cache) loadMiss(ctx context.Context, cp Cap, off, length int64) ([]byte, error) {
+	key := cacheKey(cp, off, length)
 	data, shared, err := c.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
+		if data, ok := c.shard(key).get(key); ok {
+			return data, nil
+		}
 		fctx, cancel := context.WithTimeout(fctx, c.cfg.FillTimeout)
 		defer cancel()
 		return c.fill(fctx, cp, off, length)
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if shared {
 		c.coalesced.Add(1)
-		reg.Counter(obs.MEdgeCoalesced).Inc()
+		c.registry().Counter(obs.MEdgeCoalesced).Inc()
 	}
-	c.bytesServed.Add(int64(len(data)))
-	reg.Counter(obs.MEdgeBytesServed).Add(int64(len(data)))
-	return data, false, nil
+	return data, nil
 }
 
 // fill fetches one extent from its origin depot and caches it.

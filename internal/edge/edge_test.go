@@ -164,6 +164,36 @@ func TestEdgeSingleFlightCoalescesFills(t *testing.T) {
 	}
 }
 
+// TestEdgeMissAfterLandedFillDoesNotRefill replays the window between a
+// cache miss and its flight: another reader's fill lands in between, so
+// the late reader's flight must find the extent cached instead of
+// fetching it from the origin a second time.
+func TestEdgeMissAfterLandedFillDoesNotRefill(t *testing.T) {
+	payload := bytes.Repeat([]byte("z"), 4096)
+	depotAddr, readCap, srv := startDepot(t, payload)
+	cache, err := NewCache(CacheConfig{CapacityBytes: 1 << 20, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	comp := Cap{Hint: "r02c02", OriginDepot: depotAddr, OriginCap: readCap}
+	if _, _, err := cache.Load(context.Background(), comp, 0, int64(len(payload))); err != nil {
+		t.Fatal(err)
+	}
+	// With the origin gone, only the cache can answer the late miss.
+	srv.Close()
+	data, err := cache.loadMiss(context.Background(), comp, 0, int64(len(payload)))
+	if err != nil {
+		t.Fatalf("late miss: %v", err)
+	}
+	if !bytes.Equal(data, payload) {
+		t.Fatal("late miss returned wrong bytes")
+	}
+	if st := cache.Stats(); st.Fills != 1 || st.Refills != 0 || st.FillErrors != 0 {
+		t.Fatalf("stats = %+v, want one fill, no refill, no fill error", st)
+	}
+}
+
 func TestEdgeCacheEviction(t *testing.T) {
 	payload := bytes.Repeat([]byte("y"), 1024)
 	depotAddr, readCap, _ := startDepot(t, payload)

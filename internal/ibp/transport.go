@@ -384,12 +384,6 @@ func (t *Transport) serve(c net.Conn, tw *tagWriter, r request) {
 		release()
 	}
 	cancel()
-	werr := tw.write(r, head, body, err)
-	if r.verb.PooledBody && body != nil {
-		bufpool.Put(body)
-	}
-	reg.Histogram(obs.Label(t.desc.OpMs, "op", verb), obs.LatencyBucketsMs...).
-		Observe(float64(time.Since(start)) / 1e6)
 	if err != nil {
 		if t.desc.Errors != "" {
 			reg.Counter(obs.Label(t.desc.Errors, "op", verb)).Inc()
@@ -400,7 +394,15 @@ func (t *Transport) serve(c net.Conn, tw *tagWriter, r request) {
 				"op", verb, "peer", c.RemoteAddr().String())
 		}
 	}
+	// The span is recorded before the reply goes out, so a caller that
+	// has read its reply finds the server side of its trace complete.
 	span.Finish()
+	werr := tw.write(r, head, body, err)
+	if r.verb.PooledBody && body != nil {
+		bufpool.Put(body)
+	}
+	reg.Histogram(obs.Label(t.desc.OpMs, "op", verb), obs.LatencyBucketsMs...).
+		Observe(float64(time.Since(start)) / 1e6)
 	if werr != nil {
 		c.Close() // poisoned writer: tear the connection down, client redials
 	}
